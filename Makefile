@@ -1,7 +1,7 @@
 GO ?= go
 BIN ?= bin
 
-.PHONY: all build bin test tier1 tier1-race tier1-cluster fast vet race bench bench-smoke fuzz-smoke clean
+.PHONY: all build bin test tier1 tier1-race tier1-cluster perfbench-test fast vet race bench bench-smoke fuzz-smoke clean
 
 all: build
 
@@ -51,6 +51,13 @@ tier1-race:
 # golden recall equivalence, and cache invalidation all run here.
 tier1-cluster:
 	$(GO) test -race -count=1 -timeout 300s ./internal/serve/clustertest/... ./internal/cluster/...
+
+# The load benchmark under perfbench/ is its own Go module (it replaces
+# repro with the parent directory), so the root ./... skips it. Building
+# and testing it here makes an API change that breaks the benchmark,
+# such as removing a field it sets, fail CI.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' ./...

@@ -4,7 +4,12 @@
 //
 // Single process:
 //
-//	annserve -index sift.ann -addr :8080 -max-batch 64 -max-wait 2ms
+//	annserve -index sift.ann -addr :8080 -max-batch 64
+//
+// Requests are coalesced into search rounds without any waiting window:
+// up to GOMAXPROCS rounds run at once (one over the distributed master),
+// and each takes whatever is queued when it starts (at most -max-batch),
+// so batches grow with load.
 //
 // Single process with durable ingestion (write-ahead log + snapshots +
 // background compaction; POST /v1/upsert and /v1/delete go live):
@@ -143,7 +148,6 @@ func main() {
 		rerankK = flag.Int("rerank-k", 0, "with -sq8: candidates re-ranked at full precision (>0 fixed, 0 = 4*k per query, <0 = exact scoring)")
 
 		maxBatch = flag.Int("max-batch", 64, "max queries coalesced into one search round")
-		maxWait  = flag.Duration("max-wait", 2*time.Millisecond, "max time a request waits to be batched")
 		queue    = flag.Int("queue", 0, "admission queue depth (0 = 4x max-batch); beyond it requests shed with 429")
 		cache    = flag.Int("cache", 4096, "LRU result-cache entries (0 disables)")
 		deadline = flag.Duration("deadline", 0, "default per-request deadline when the client sends no timeout_ms (0 = none)")
@@ -170,7 +174,6 @@ func main() {
 	srvCfg := serve.ServerConfig{
 		Batcher: serve.BatcherConfig{
 			MaxBatch:   *maxBatch,
-			MaxWait:    *maxWait,
 			QueueDepth: *queue,
 		},
 		CacheSize:      *cache,

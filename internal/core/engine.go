@@ -9,6 +9,7 @@ import (
 	"io"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/hnsw"
 	"repro/internal/index"
@@ -238,39 +239,52 @@ func (e *Engine) SearchBatch(queries *vec.Dataset, k, nThreads int) ([][]topk.Re
 // searches are short); this is the entry point the serving gateway uses
 // to bound a coalesced batch by its requests' deadlines.
 func (e *Engine) SearchBatchContext(ctx context.Context, queries *vec.Dataset, k, nThreads int) ([][]topk.Result, error) {
+	return e.searchEach(ctx, queries, nThreads, func(q []float32) ([]topk.Result, error) {
+		return e.Search(q, k)
+	})
+}
+
+// searchEach runs search over every query on a pool of
+// min(nThreads, queries.Len()) workers (nThreads <= 0 means GOMAXPROCS),
+// the calling goroutine being one of them, so a one-query round starts
+// no goroutine at all. Once ctx is done, queries not yet started are
+// skipped and ctx.Err() is returned; queries already being searched run
+// to completion (local HNSW searches are short).
+func (e *Engine) searchEach(ctx context.Context, queries *vec.Dataset, nThreads int, search func(q []float32) ([]topk.Result, error)) ([][]topk.Result, error) {
 	if queries.Dim != e.dim {
 		return nil, fmt.Errorf("core: query dim %d, index dim %d", queries.Dim, e.dim)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	n := queries.Len()
 	if nThreads <= 0 {
 		nThreads = runtime.GOMAXPROCS(0)
 	}
-	out := make([][]topk.Result, queries.Len())
-	errs := make([]error, queries.Len())
-	var wg sync.WaitGroup
-	work := make(chan int, nThreads*2)
+	nThreads = min(nThreads, n)
+	out := make([][]topk.Result, n)
+	errs := make([]error, n)
+	var next atomic.Int64
 	done := ctx.Done()
-	for w := 0; w < nThreads; w++ {
+	worker := func() {
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			out[i], errs[i] = search(queries.At(i))
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < nThreads; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range work {
-				select {
-				case <-done:
-					errs[i] = ctx.Err()
-					continue // keep draining so the producer never blocks
-				default:
-				}
-				out[i], errs[i] = e.Search(queries.At(i), k)
-			}
+			worker()
 		}()
 	}
-	for i := 0; i < queries.Len(); i++ {
-		work <- i
-	}
-	close(work)
+	worker()
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/filter"
 	"repro/internal/index"
@@ -105,47 +103,7 @@ func addStats(a, b index.Stats) index.Stats {
 // of nThreads workers, with the same cancellation semantics as
 // SearchBatchContext.
 func (e *Engine) SearchBatchFiltered(ctx context.Context, queries *vec.Dataset, k int, f *filter.Expr, nThreads int) ([][]topk.Result, error) {
-	if queries.Dim != e.dim {
-		return nil, fmt.Errorf("core: query dim %d, index dim %d", queries.Dim, e.dim)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if nThreads <= 0 {
-		nThreads = runtime.GOMAXPROCS(0)
-	}
-	out := make([][]topk.Result, queries.Len())
-	errs := make([]error, queries.Len())
-	var wg sync.WaitGroup
-	work := make(chan int, nThreads*2)
-	done := ctx.Done()
-	for w := 0; w < nThreads; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				select {
-				case <-done:
-					errs[i] = ctx.Err()
-					continue // keep draining so the producer never blocks
-				default:
-				}
-				out[i], errs[i] = e.SearchFiltered(queries.At(i), k, f)
-			}
-		}()
-	}
-	for i := 0; i < queries.Len(); i++ {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return e.searchEach(ctx, queries, nThreads, func(q []float32) ([]topk.Result, error) {
+		return e.SearchFiltered(q, k, f)
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -31,10 +32,11 @@ type BatcherConfig struct {
 	// MaxBatch is the most queries coalesced into one backend round
 	// (default 64).
 	MaxBatch int
-	// MaxWait is how long the first request of a round waits for company
-	// before dispatching alone (default 2ms). Larger windows trade tail
-	// latency for batch size — the knob behind the paper's
-	// batch-throughput curve.
+	// MaxWait is ignored. Rounds are dispatched as soon as a dispatcher
+	// is free, with whatever is queued at that moment; there is no
+	// accumulation window.
+	//
+	// Deprecated: ignored; kept so existing configurations compile.
 	MaxWait time.Duration
 	// QueueDepth bounds the admission queue; submissions beyond it are
 	// shed with ErrOverloaded (default 4×MaxBatch).
@@ -44,9 +46,6 @@ type BatcherConfig struct {
 func (c *BatcherConfig) fill() {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
-	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = 2 * time.Millisecond
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 4 * c.MaxBatch
@@ -82,21 +81,30 @@ type pending struct {
 }
 
 // Batcher coalesces concurrent single-query submissions into bounded
-// backend rounds. One dispatcher goroutine owns the backend, so backends
-// need not be concurrency-safe.
+// backend rounds. It is work-conserving: a pool of GOMAXPROCS
+// dispatchers (fewer when the backend is a RoundLimiter) each takes the
+// next queued request the moment it is free, drains whatever else is
+// already queued (up to MaxBatch) without waiting, and runs that round. No request ever waits for company, so
+// an idle gateway adds no latency, while requests that arrive while
+// every dispatcher is busy pile up and share the next round: batch size
+// tracks load (about arrival rate × round time). Backends must
+// therefore accept as many concurrent SearchBatch calls as there are
+// slots.
 type Batcher struct {
 	backend Backend
 	cfg     BatcherConfig
 	stats   *Stats
+	slots   int // dispatchers, i.e. the most rounds in flight at once
 
 	mu     sync.Mutex // serializes queue sends against the drain-time close
 	closed bool
 	queue  chan *pending
 
-	stopped chan struct{} // closed when the dispatcher exits
+	dispatchers sync.WaitGroup
+	stopped     chan struct{} // closed once every dispatcher has exited
 }
 
-// NewBatcher starts the dispatcher goroutine. Close it with Drain.
+// NewBatcher starts the dispatchers. Close it with Drain.
 func NewBatcher(backend Backend, cfg BatcherConfig, stats *Stats) *Batcher {
 	cfg.fill()
 	if stats == nil {
@@ -107,9 +115,22 @@ func NewBatcher(backend Backend, cfg BatcherConfig, stats *Stats) *Batcher {
 		cfg:     cfg,
 		queue:   make(chan *pending, cfg.QueueDepth),
 		stats:   stats,
+		slots:   runtime.GOMAXPROCS(0),
 		stopped: make(chan struct{}),
 	}
-	go b.run()
+	if rl, ok := backend.(RoundLimiter); ok {
+		if n := rl.MaxRounds(); n > 0 && n < b.slots {
+			b.slots = n
+		}
+	}
+	b.dispatchers.Add(b.slots)
+	for i := 0; i < b.slots; i++ {
+		go b.run()
+	}
+	go func() {
+		b.dispatchers.Wait()
+		close(b.stopped)
+	}()
 	return b
 }
 
@@ -174,15 +195,16 @@ func (b *Batcher) DoFiltered(ctx context.Context, q []float32, k int, f *filter.
 	case a := <-ch:
 		return a.results, a.meta, a.err
 	case <-ctx.Done():
-		// The dispatcher will notice the dead context and drop the entry
+		// A dispatcher will notice the dead context and drop the entry
 		// before dispatch (or waste one slot if it already went out).
 		return nil, BatchMeta{}, ctx.Err()
 	}
 }
 
-// Drain stops admission, lets the dispatcher finish everything already
-// queued, and waits for it to exit (bounded by ctx). Safe to call more
-// than once; only the first call closes the queue.
+// Drain stops admission, lets the dispatchers finish everything already
+// queued, and waits until every round in flight has delivered (bounded
+// by ctx). Safe to call more than once; only the first call closes the
+// queue.
 func (b *Batcher) Drain(ctx context.Context) error {
 	b.mu.Lock()
 	if !b.closed {
@@ -198,29 +220,28 @@ func (b *Batcher) Drain(ctx context.Context) error {
 	}
 }
 
-// run is the dispatcher: collect a round, dispatch it, repeat until the
-// queue is closed and empty.
+// run is one dispatcher, i.e. one in-flight slot: wait for a request,
+// collect a round, dispatch it, repeat until the queue is closed and
+// empty.
 func (b *Batcher) run() {
-	defer close(b.stopped)
+	defer b.dispatchers.Done()
 	for {
 		first, ok := <-b.queue
 		if !ok {
 			return
 		}
 		b.stats.queueDepth.Add(-1)
-		b.dispatch(b.collect(first))
+		batch := b.collect(first)
+		b.stats.inflightRounds.Add(1)
+		b.dispatch(batch)
+		b.stats.inflightRounds.Add(-1)
 	}
 }
 
-// collect accumulates a round: up to MaxBatch entries, waiting at most
-// MaxWait past the first arrival.
+// collect builds a round: first plus whatever is already queued, up to
+// MaxBatch entries. It never waits for more to arrive.
 func (b *Batcher) collect(first *pending) []*pending {
 	batch := []*pending{first}
-	if b.cfg.MaxBatch == 1 {
-		return batch
-	}
-	timer := time.NewTimer(b.cfg.MaxWait)
-	defer timer.Stop()
 	for len(batch) < b.cfg.MaxBatch {
 		select {
 		case p, ok := <-b.queue:
@@ -229,7 +250,7 @@ func (b *Batcher) collect(first *pending) []*pending {
 			}
 			b.stats.queueDepth.Add(-1)
 			batch = append(batch, p)
-		case <-timer.C:
+		default:
 			return batch
 		}
 	}

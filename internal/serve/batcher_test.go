@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -12,26 +13,37 @@ import (
 )
 
 // fakeBackend answers query q with k rows whose IDs encode q[0], records
-// every dispatched batch size, and can block or delay to stage overload
-// and coalescing scenarios.
+// every dispatched batch size and the peak number of concurrent rounds,
+// and can block or delay to stage overload and coalescing scenarios.
 type fakeBackend struct {
 	dim     int
 	delay   time.Duration
-	block   chan struct{} // when non-nil, SearchBatch waits for close
+	block   chan struct{} // when non-nil, SearchBatch takes one token from it (close releases all)
 	entered chan struct{} // when non-nil, receives one token per SearchBatch call
 
 	degraded    bool  // when set, every batch reports a partial answer
 	failedParts []int // partitions reported as failed alongside degraded
 
-	mu      sync.Mutex
-	batches []int
-	queries int
+	mu       sync.Mutex
+	batches  []int
+	queries  int
+	inflight int
+	peak     int
 }
 
 func (f *fakeBackend) Dim() int  { return f.dim }
 func (f *fakeBackend) MaxK() int { return 0 }
 
 func (f *fakeBackend) SearchBatch(ctx context.Context, qs *vec.Dataset, k int) (BatchOutput, error) {
+	f.mu.Lock()
+	f.inflight++
+	f.peak = max(f.peak, f.inflight)
+	f.mu.Unlock()
+	defer func() {
+		f.mu.Lock()
+		f.inflight--
+		f.mu.Unlock()
+	}()
 	if f.entered != nil {
 		f.entered <- struct{}{}
 	}
@@ -66,32 +78,72 @@ func (f *fakeBackend) snapshot() (batches []int, queries int) {
 	return append([]int(nil), f.batches...), f.queries
 }
 
+func (f *fakeBackend) peakInflight() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.peak
+}
+
 func query(dim int, tag float32) []float32 {
 	q := make([]float32, dim)
 	q[0] = tag
 	return q
 }
 
-// TestBatcherCoalesces: concurrent submissions land in shared rounds —
-// the observed max batch size exceeds 1 and every caller still gets its
-// own correct, k-trimmed row.
+// wedge fills every in-flight slot of b with a one-query round held
+// inside fb (which must have block and entered set). Each submission
+// waits for its round to enter the backend before the next goes in, so
+// no two wedge requests share a round. It returns their answer
+// channels; the rounds finish once fb.block releases them.
+func wedge(t *testing.T, b *Batcher, fb *fakeBackend) []<-chan answer {
+	t.Helper()
+	chans := make([]<-chan answer, b.slots)
+	for i := range chans {
+		ch, err := b.Submit(context.Background(), query(fb.dim, float32(-1-i)), 1)
+		if err != nil {
+			t.Fatalf("wedge %d: %v", i, err)
+		}
+		chans[i] = ch
+		<-fb.entered
+	}
+	return chans
+}
+
+// TestBatcherCoalesces: requests that arrive while every slot is busy
+// share the next round — the observed max batch size exceeds 1 and
+// every caller still gets its own correct, k-trimmed row.
 func TestBatcherCoalesces(t *testing.T) {
-	fb := &fakeBackend{dim: 4}
-	b := NewBatcher(fb, BatcherConfig{MaxBatch: 32, MaxWait: 50 * time.Millisecond, QueueDepth: 64}, nil)
+	fb := &fakeBackend{dim: 4, block: make(chan struct{}), entered: make(chan struct{}, 64)}
+	b := NewBatcher(fb, BatcherConfig{MaxBatch: 32, QueueDepth: 64}, nil)
 	defer b.Drain(context.Background())
+	wedged := wedge(t, b, fb)
 
 	const n = 16
-	var wg sync.WaitGroup
+	chans := make([]<-chan answer, n)
+	for i := 0; i < n; i++ {
+		ch, err := b.Submit(context.Background(), query(4, float32(i)), 3)
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		chans[i] = ch
+	}
+	// Free exactly one slot: its dispatcher takes the whole queue in one
+	// round while every other slot is still held.
+	fb.block <- struct{}{}
+	<-fb.entered
+	close(fb.block)
+
 	errs := make([]error, n)
 	rows := make([][]topk.Result, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			rows[i], _, errs[i] = b.Do(context.Background(), query(4, float32(i)), 3)
-		}(i)
+	for i, ch := range chans {
+		a := <-ch
+		rows[i], errs[i] = a.results, a.err
 	}
-	wg.Wait()
+	for i, ch := range wedged {
+		if a := <-ch; a.err != nil {
+			t.Fatalf("wedge request %d: %v", i, a.err)
+		}
+	}
 	for i := 0; i < n; i++ {
 		if errs[i] != nil {
 			t.Fatalf("request %d: %v", i, errs[i])
@@ -104,8 +156,8 @@ func TestBatcherCoalesces(t *testing.T) {
 		}
 	}
 	batches, queries := fb.snapshot()
-	if queries != n {
-		t.Fatalf("backend saw %d queries, want %d", queries, n)
+	if queries != n+len(wedged) {
+		t.Fatalf("backend saw %d queries, want %d", queries, n+len(wedged))
 	}
 	max := 0
 	for _, sz := range batches {
@@ -116,6 +168,9 @@ func TestBatcherCoalesces(t *testing.T) {
 	if max < 2 {
 		t.Fatalf("no coalescing observed: batch sizes %v", batches)
 	}
+	if max != n {
+		t.Fatalf("the %d queued requests did not share one round: batch sizes %v", n, batches)
+	}
 	t.Logf("coalesced %d requests into %d batches (max size %d)", n, len(batches), max)
 }
 
@@ -124,7 +179,7 @@ func TestBatcherCoalesces(t *testing.T) {
 func TestBatcherDropsExpired(t *testing.T) {
 	fb := &fakeBackend{dim: 4}
 	stats := NewStats()
-	b := NewBatcher(fb, BatcherConfig{MaxBatch: 8, MaxWait: time.Millisecond, QueueDepth: 8}, stats)
+	b := NewBatcher(fb, BatcherConfig{MaxBatch: 8, QueueDepth: 8}, stats)
 	defer b.Drain(context.Background())
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -145,21 +200,17 @@ func TestBatcherDropsExpired(t *testing.T) {
 	}
 }
 
-// TestBatcherOverload: once the dispatcher is busy and the bounded queue
-// is full, Submit sheds immediately with ErrOverloaded.
+// TestBatcherOverload: once every in-flight slot is busy and the
+// bounded queue is full, Submit sheds immediately with ErrOverloaded.
 func TestBatcherOverload(t *testing.T) {
-	fb := &fakeBackend{dim: 4, block: make(chan struct{}), entered: make(chan struct{}, 4)}
+	fb := &fakeBackend{dim: 4, block: make(chan struct{}), entered: make(chan struct{}, 64)}
 	stats := NewStats()
-	b := NewBatcher(fb, BatcherConfig{MaxBatch: 1, MaxWait: time.Millisecond, QueueDepth: 2}, stats)
+	b := NewBatcher(fb, BatcherConfig{MaxBatch: 1, QueueDepth: 2}, stats)
 	defer b.Drain(context.Background())
 
-	// First submission is collected by the dispatcher and blocks inside
-	// the backend; wait for that handshake so queue occupancy is exact.
-	first, err := b.Submit(context.Background(), query(4, 0), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-fb.entered
+	// Every slot collects one submission and blocks inside the backend;
+	// wedge waits for each handshake so queue occupancy is exact.
+	wedged := wedge(t, b, fb)
 
 	// Fill the admission queue.
 	waiting := make([]<-chan answer, 0, 2)
@@ -181,8 +232,10 @@ func TestBatcherOverload(t *testing.T) {
 	// Release the backend (a closed channel unblocks every later round):
 	// everything admitted still completes.
 	close(fb.block)
-	if a := <-first; a.err != nil {
-		t.Fatal(a.err)
+	for i, ch := range wedged {
+		if a := <-ch; a.err != nil {
+			t.Fatalf("wedge request %d: %v", i, a.err)
+		}
 	}
 	for i, ch := range waiting {
 		if a := <-ch; a.err != nil {
@@ -195,7 +248,7 @@ func TestBatcherOverload(t *testing.T) {
 // submissions with ErrDraining.
 func TestBatcherDrain(t *testing.T) {
 	fb := &fakeBackend{dim: 4, delay: 2 * time.Millisecond}
-	b := NewBatcher(fb, BatcherConfig{MaxBatch: 4, MaxWait: time.Millisecond, QueueDepth: 16}, nil)
+	b := NewBatcher(fb, BatcherConfig{MaxBatch: 4, QueueDepth: 16}, nil)
 
 	chans := make([]<-chan answer, 0, 8)
 	for i := 0; i < 8; i++ {
@@ -221,5 +274,127 @@ func TestBatcherDrain(t *testing.T) {
 	}
 	if _, queries := fb.snapshot(); queries != 8 {
 		t.Fatalf("backend saw %d queries, want all 8", queries)
+	}
+}
+
+// TestBatcherNoWaitWindow: a lone request on an idle batcher is
+// dispatched at once. MaxWait is ignored, so even a 10 s setting adds
+// nothing.
+func TestBatcherNoWaitWindow(t *testing.T) {
+	fb := &fakeBackend{dim: 4}
+	b := NewBatcher(fb, BatcherConfig{MaxBatch: 64, MaxWait: 10 * time.Second, QueueDepth: 64}, nil)
+	defer b.Drain(context.Background())
+
+	start := time.Now()
+	rows, _, err := b.Do(context.Background(), query(4, 7), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if el := time.Since(start); el > 500*time.Millisecond {
+		t.Fatalf("lone request took %v: the batcher waited for company", el)
+	}
+	if len(rows) != 2 || rows[0].ID != 7000 {
+		t.Fatalf("wrong row %v", rows)
+	}
+}
+
+// TestBatcherBoundsInflight: the backend never sees more concurrent
+// rounds than there are slots (GOMAXPROCS), and every slot is usable.
+func TestBatcherBoundsInflight(t *testing.T) {
+	fb := &fakeBackend{dim: 4, block: make(chan struct{}), entered: make(chan struct{}, 256)}
+	stats := NewStats()
+	b := NewBatcher(fb, BatcherConfig{MaxBatch: 4, QueueDepth: 256}, stats)
+	defer b.Drain(context.Background())
+	if b.slots != runtime.GOMAXPROCS(0) {
+		t.Fatalf("slots = %d, want GOMAXPROCS %d", b.slots, runtime.GOMAXPROCS(0))
+	}
+
+	// Hold every slot; a further submission must wait in the queue
+	// instead of opening another round.
+	wedged := wedge(t, b, fb)
+	if got := stats.Snapshot().InflightRounds; got != int64(b.slots) {
+		t.Fatalf("inflight_rounds = %d with every slot held, want %d", got, b.slots)
+	}
+	extra, err := b.Submit(context.Background(), query(4, 99), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond)
+	if n := len(fb.entered); n != 0 {
+		t.Fatalf("%d rounds started while every slot was busy", n)
+	}
+	if got := stats.Snapshot().QueueDepth; got != 1 {
+		t.Fatalf("queue_depth = %d, want 1", got)
+	}
+	close(fb.block)
+	for _, ch := range append(wedged, extra) {
+		if a := <-ch; a.err != nil {
+			t.Fatal(a.err)
+		}
+	}
+
+	// Then a burst far wider than the slot count.
+	var wg sync.WaitGroup
+	for i := 0; i < 16*b.slots; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, _, err := b.Do(context.Background(), query(4, float32(i)), 1); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if p := fb.peakInflight(); p > b.slots {
+		t.Fatalf("backend saw %d concurrent rounds, slots = %d", p, b.slots)
+	}
+	// A round's answers are delivered before its slot is released, so
+	// wait for the dispatchers to finish before reading the gauge.
+	if err := b.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := stats.Snapshot().InflightRounds; got != 0 {
+		t.Fatalf("inflight_rounds = %d after the load, want 0", got)
+	}
+}
+
+// TestBatcherDrainWaitsInflight: Drain returns only after every round
+// in flight, and everything queued behind them, has delivered.
+func TestBatcherDrainWaitsInflight(t *testing.T) {
+	fb := &fakeBackend{dim: 4, block: make(chan struct{}), entered: make(chan struct{}, 64)}
+	b := NewBatcher(fb, BatcherConfig{MaxBatch: 4, QueueDepth: 16}, nil)
+	chans := wedge(t, b, fb)
+	for i := 0; i < 6; i++ {
+		ch, err := b.Submit(context.Background(), query(4, float32(i)), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chans = append(chans, ch)
+	}
+
+	drained := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		drained <- b.Drain(ctx)
+	}()
+	select {
+	case err := <-drained:
+		t.Fatalf("Drain returned %v while rounds were still in flight", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(fb.block)
+	if err := <-drained; err != nil {
+		t.Fatal(err)
+	}
+	for i, ch := range chans {
+		select {
+		case a := <-ch:
+			if a.err != nil {
+				t.Fatalf("request %d: %v", i, a.err)
+			}
+		default:
+			t.Fatalf("request %d had no answer when Drain returned", i)
+		}
 	}
 }

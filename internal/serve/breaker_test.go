@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/fsx"
 	"repro/internal/store"
@@ -33,7 +32,7 @@ func TestWriteCircuitBreaker(t *testing.T) {
 	defer d.Close()
 
 	s := NewServer(&EngineBackend{Engine: d.Engine(), Store: d}, ServerConfig{
-		Batcher: BatcherConfig{MaxBatch: 16, MaxWait: 2 * time.Millisecond, QueueDepth: 64},
+		Batcher: BatcherConfig{MaxBatch: 16, QueueDepth: 64},
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

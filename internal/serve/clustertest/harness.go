@@ -148,7 +148,7 @@ func (o *Options) fill() {
 	}
 	if o.Server.Batcher.MaxBatch == 0 {
 		o.Server.Batcher = serve.BatcherConfig{
-			MaxBatch: 32, MaxWait: 2 * time.Millisecond, QueueDepth: 256,
+			MaxBatch: 32, QueueDepth: 256,
 		}
 	}
 }

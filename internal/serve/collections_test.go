@@ -26,8 +26,8 @@ func testCollectionServer(t *testing.T, cfg ServerConfig) (*Server, *httptest.Se
 	if _, err := reg.Create(DefaultCollection, collection.Config{Dim: 8}); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Batcher.MaxWait == 0 {
-		cfg.Batcher = BatcherConfig{MaxBatch: 16, MaxWait: time.Millisecond, QueueDepth: 64}
+	if cfg.Batcher == (BatcherConfig{}) {
+		cfg.Batcher = BatcherConfig{MaxBatch: 16, QueueDepth: 64}
 	}
 	if cfg.CacheSize == 0 {
 		cfg.CacheSize = 256
@@ -314,6 +314,52 @@ func TestTypedErrors(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestQuotaCollectionConcurrentSearches: every search round takes one
+// slot of the collection's MaxInflight quota, so a max_inflight:1
+// collection gets a one-slot batcher. Concurrent searches then queue
+// and share rounds instead of running a second round into a 429.
+func TestQuotaCollectionConcurrentSearches(t *testing.T) {
+	s, ts, reg := testCollectionServer(t, ServerConfig{})
+	client := ts.Client()
+	resp, data := postJSON(t, client, ts.URL, "/v1/collections",
+		map[string]any{"name": "quota", "dim": 8, "max_inflight": 1})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create quota collection: %d %s", resp.StatusCode, data)
+	}
+	col, err := reg.Get("quota")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 300; i++ {
+		if err := col.Upsert(randQuery(rng, 8), int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.mu.RLock()
+	slots := s.tenants["quota"].batcher.slots
+	s.mu.RUnlock()
+	if slots != 1 {
+		t.Fatalf("max_inflight:1 collection has %d batcher slots, want 1", slots)
+	}
+
+	const n = 64
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		q := randQuery(rng, 8)
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, data := postJSON(t, client, ts.URL, "/v1/collections/quota/search",
+				map[string]any{"query": q, "k": 5})
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("search %d: status %d: %s", i, resp.StatusCode, data)
+			}
+		}(i)
+	}
+	wg.Wait()
 }
 
 // TestCacheKeyedByCollectionAndFilter is the cache-correctness

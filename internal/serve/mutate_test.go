@@ -45,7 +45,7 @@ func TestMutationEndpoints(t *testing.T) {
 	}
 	defer d.Close()
 	s := NewServer(&EngineBackend{Engine: e, Store: d}, ServerConfig{
-		Batcher:   BatcherConfig{MaxBatch: 16, MaxWait: 2 * time.Millisecond, QueueDepth: 64},
+		Batcher:   BatcherConfig{MaxBatch: 16, QueueDepth: 64},
 		CacheSize: 64,
 	})
 	ts := httptest.NewServer(s.Handler())
@@ -176,7 +176,7 @@ func (readOnlyBackend) SearchBatch(ctx context.Context, queries *vec.Dataset, k 
 
 func TestMutationNotImplemented(t *testing.T) {
 	s := NewServer(readOnlyBackend{}, ServerConfig{
-		Batcher: BatcherConfig{MaxBatch: 4, MaxWait: time.Millisecond, QueueDepth: 8},
+		Batcher: BatcherConfig{MaxBatch: 4, QueueDepth: 8},
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

@@ -4,12 +4,14 @@
 // The paper's protocol (Algorithms 3–4) answers *batches* of queries —
 // routing, dispatch and result merging all amortize over the batch — but
 // online traffic arrives one request at a time. The gateway bridges the
-// two with a dynamic micro-batcher: concurrent in-flight requests are
-// coalesced into one SearchBatch round (bounded by MaxBatch queries and
-// a MaxWait accumulation window), recovering the throughput that
-// per-request dispatch would waste, exactly as the request-coalescing
-// front ends of web-scale ANN systems (LANNS, HARMONY) do over their
-// distributed cores.
+// two with a work-conserving micro-batcher, the request-coalescing front
+// end that web-scale ANN systems (LANNS, HARMONY) put over their
+// distributed cores. Up to GOMAXPROCS rounds run at once; a round starts
+// the moment one of those slots is free and takes everything already
+// queued, up to MaxBatch queries. There is no accumulation window, so
+// an idle gateway dispatches each request alone with no added latency,
+// and under load the requests that arrive while every slot is busy
+// share the next round: batch size ≈ arrival rate × round time.
 //
 // Around the batcher sit the production concerns:
 //
@@ -54,10 +56,11 @@ type BatchOutput struct {
 // Backend is the search core the gateway fronts. SearchBatch answers
 // every query in queries with k neighbors each, honoring ctx
 // cancellation (best-effort: a batch already dispatched to remote
-// workers runs to completion). The batcher calls it from a single
-// dispatcher goroutine, so implementations need not be safe for
-// concurrent SearchBatch calls — which is what lets the single-driver
-// core.Master serve here unchanged.
+// workers runs to completion). The batcher runs up to GOMAXPROCS rounds
+// at once, so SearchBatch must be safe for concurrent calls unless the
+// backend caps that number through RoundLimiter. The engine and router
+// backends take the full width; MasterBackend limits itself to one
+// round, and CollectionBackend to the collection's MaxInflight quota.
 type Backend interface {
 	// Dim is the vector dimensionality queries must have.
 	Dim() int
@@ -71,10 +74,18 @@ type Backend interface {
 // answering every query under the same tag filter, with the predicate
 // pushed into the graph traversal rather than applied to the output.
 // Requests whose filter is non-empty are refused with ErrFilterUnsupported
-// when the backend lacks it. Like SearchBatch, it is called from the
-// single dispatcher goroutine.
+// when the backend lacks it. Like SearchBatch, it is called from up to
+// the batcher's slot count of rounds at once.
 type FilteredBackend interface {
 	SearchBatchFiltered(ctx context.Context, queries *vec.Dataset, k int, f *filter.Expr) (BatchOutput, error)
+}
+
+// RoundLimiter is implemented by backends that must not run GOMAXPROCS
+// rounds at once. MaxRounds caps the batcher's in-flight slots; a value
+// of 0 or less leaves them uncapped. With fewer slots, more requests
+// queue behind each round and the rounds grow instead.
+type RoundLimiter interface {
+	MaxRounds() int
 }
 
 // TopologyNotifier is implemented by backends whose result-set identity
@@ -292,10 +303,15 @@ func (b *EngineBackend) Varz() map[string]any {
 // MasterBackend adapts the distributed core.Master driver handle. The
 // cluster's k is fixed at build time (Config.K); requests asking for
 // fewer neighbors are trimmed by the gateway, requests asking for more
-// are capped at MaxK by the server.
+// are capped at MaxK by the server. The master drives the MPI protocol
+// from one goroutine, so MaxRounds gives its batcher a single slot:
+// requests arriving while a round runs queue and all share the next.
 type MasterBackend struct {
 	Master *core.Master
 }
+
+// MaxRounds implements RoundLimiter: one round at a time.
+func (b *MasterBackend) MaxRounds() int { return 1 }
 
 // Dim implements Backend.
 func (b *MasterBackend) Dim() int { return b.Master.Dim() }

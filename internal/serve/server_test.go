@@ -63,21 +63,73 @@ func randQuery(rng *rand.Rand, dim int) []float32 {
 	return q
 }
 
+// gatedBackend wraps a backend so a test can hold rounds inside it:
+// every SearchBatch call signals entered, then takes one token from
+// block (closing block releases every call).
+type gatedBackend struct {
+	Backend
+	entered chan struct{}
+	block   chan struct{}
+}
+
+func (g *gatedBackend) SearchBatch(ctx context.Context, qs *vec.Dataset, k int) (BatchOutput, error) {
+	g.entered <- struct{}{}
+	<-g.block
+	return g.Backend.SearchBatch(ctx, qs, k)
+}
+
+// defaultSlots is the number of rounds the single-backend server s runs
+// at once.
+func defaultSlots(s *Server) int { return s.tenants[DefaultCollection].batcher.slots }
+
+// wedgeHTTP holds every in-flight slot of s with one search each
+// (distinct queries tagged by q[0] = -1, -2, …), waiting for each to
+// enter the backend before sending the next. The returned channel
+// closes when all of them have answered.
+func wedgeHTTP(t *testing.T, s *Server, ts *httptest.Server, dim int, entered <-chan struct{}) <-chan struct{} {
+	t.Helper()
+	var wg sync.WaitGroup
+	for i := 0; i < defaultSlots(s); i++ {
+		q := make([]float32, dim)
+		q[0] = float32(-1 - i)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, data := postSearch(t, ts.Client(), ts.URL, map[string]any{"query": q, "k": 1})
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("wedged request finished %d: %s", resp.StatusCode, data)
+			}
+		}()
+		<-entered
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	return done
+}
+
 // TestServerEndToEnd is the acceptance scenario: an annserve-style
 // gateway over a real engine coalesces concurrent requests into
 // multi-query batches, answers repeated queries from the cache, and
 // drains cleanly on shutdown.
 func TestServerEndToEnd(t *testing.T) {
 	e := testEngine(t)
-	s := NewServer(&EngineBackend{Engine: e}, ServerConfig{
-		Batcher:   BatcherConfig{MaxBatch: 64, MaxWait: 40 * time.Millisecond, QueueDepth: 256},
+	gate := &gatedBackend{Backend: &EngineBackend{Engine: e},
+		entered: make(chan struct{}, 64), block: make(chan struct{})}
+	s := NewServer(gate, ServerConfig{
+		Batcher:   BatcherConfig{MaxBatch: 64, QueueDepth: 256},
 		CacheSize: 1024,
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// Phase 1: concurrent load coalesces. Distinct queries fired together
-	// must share backend rounds.
+	// Phase 1: load that arrives while every slot is busy coalesces.
+	// Hold each slot with one request, fire the distinct queries, and
+	// once all of them are queued free a single slot: they must share
+	// its next round.
+	wedged := wedgeHTTP(t, s, ts, 8, gate.entered)
 	const n = 24
 	rng := rand.New(rand.NewSource(7))
 	queries := make([][]float32, n)
@@ -95,7 +147,14 @@ func TestServerEndToEnd(t *testing.T) {
 			codes[i], bodies[i] = resp.StatusCode, data
 		}(i)
 	}
+	for s.Stats().Snapshot().QueueDepth < n {
+		time.Sleep(time.Millisecond)
+	}
+	gate.block <- struct{}{}
+	<-gate.entered
+	close(gate.block)
 	wg.Wait()
+	<-wedged
 	for i := 0; i < n; i++ {
 		if codes[i] != http.StatusOK {
 			t.Fatalf("request %d: status %d: %s", i, codes[i], bodies[i])
@@ -170,7 +229,7 @@ func TestServerEndToEnd(t *testing.T) {
 	if err := json.Unmarshal(vdata, &varz); err != nil {
 		t.Fatalf("varz not JSON: %v\n%s", err, vdata)
 	}
-	for _, key := range []string{"requests", "batches", "cache_hits", "latency_us", "runtime"} {
+	for _, key := range []string{"requests", "batches", "cache_hits", "latency_us", "runtime", "inflight_rounds"} {
 		if _, ok := varz[key]; !ok {
 			t.Fatalf("varz missing %q: %s", key, vdata)
 		}
@@ -204,24 +263,16 @@ func TestServerEndToEnd(t *testing.T) {
 // excess load is refused with 429 + Retry-After, and admitted requests
 // complete once the backend recovers.
 func TestServerSheds429(t *testing.T) {
-	fb := &fakeBackend{dim: 4, block: make(chan struct{}), entered: make(chan struct{}, 8)}
+	fb := &fakeBackend{dim: 4, block: make(chan struct{}), entered: make(chan struct{}, 64)}
 	s := NewServer(fb, ServerConfig{
-		Batcher:   BatcherConfig{MaxBatch: 1, MaxWait: time.Millisecond, QueueDepth: 1},
+		Batcher:   BatcherConfig{MaxBatch: 1, QueueDepth: 1},
 		CacheSize: 0,
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// Wedge the dispatcher on the first query.
-	done1 := make(chan struct{})
-	go func() {
-		defer close(done1)
-		resp, data := postSearch(t, ts.Client(), ts.URL, map[string]any{"query": []float32{0, 0, 0, 0}, "k": 1})
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("wedged request finished %d: %s", resp.StatusCode, data)
-		}
-	}()
-	<-fb.entered
+	// Wedge every in-flight slot.
+	done1 := wedgeHTTP(t, s, ts, 4, fb.entered)
 
 	// One more fits the queue; distinct queries beyond it must shed.
 	// (Identical queries would coalesce via single-flight instead.)
@@ -251,7 +302,7 @@ func TestServerSheds429(t *testing.T) {
 	}
 	t.Logf("overload statuses: %v", statuses)
 
-	// Recovery: unblock the backend and the wedged request completes.
+	// Recovery: unblock the backend and the wedged requests complete.
 	close(fb.block)
 	<-done1
 }
@@ -261,7 +312,7 @@ func TestServerSheds429(t *testing.T) {
 func TestServerSingleFlight(t *testing.T) {
 	fb := &fakeBackend{dim: 4, delay: 20 * time.Millisecond}
 	s := NewServer(fb, ServerConfig{
-		Batcher:   BatcherConfig{MaxBatch: 16, MaxWait: time.Millisecond, QueueDepth: 64},
+		Batcher:   BatcherConfig{MaxBatch: 16, QueueDepth: 64},
 		CacheSize: 64,
 	})
 	ts := httptest.NewServer(s.Handler())
@@ -295,7 +346,7 @@ func TestServerSingleFlight(t *testing.T) {
 func TestServerDeadline(t *testing.T) {
 	fb := &fakeBackend{dim: 4, delay: 200 * time.Millisecond}
 	s := NewServer(fb, ServerConfig{
-		Batcher: BatcherConfig{MaxBatch: 4, MaxWait: time.Millisecond, QueueDepth: 8},
+		Batcher: BatcherConfig{MaxBatch: 4, QueueDepth: 8},
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

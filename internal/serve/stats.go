@@ -32,7 +32,8 @@ type Stats struct {
 	DegradedResponses atomic.Int64 // HTTP responses delivered with degraded markers
 	TopologyPurges    atomic.Int64 // cache purges forced by shard-topology changes
 
-	queueDepth atomic.Int64 // entries currently admitted but not collected
+	queueDepth     atomic.Int64 // entries currently admitted but not collected
+	inflightRounds atomic.Int64 // backend rounds currently running
 
 	batchSizes metrics.Reservoir // queries per dispatched round
 	latencies  metrics.Reservoir // per-request end-to-end µs (HTTP handler view)
@@ -69,6 +70,11 @@ type Snapshot struct {
 	Deletes        int64 `json:"deletes"`
 	WritesRejected int64 `json:"writes_rejected"`
 	QueueDepth     int64 `json:"queue_depth"`
+	// InflightRounds is how many backend rounds are running right now
+	// (at most GOMAXPROCS per tenant). All slots busy with a growing
+	// queue means saturation; a stuck count with an idle queue points
+	// at a stalled backend.
+	InflightRounds int64 `json:"inflight_rounds"`
 
 	HybridRequests  int64 `json:"hybrid_requests"`
 	HybridCacheHits int64 `json:"hybrid_cache_hits"`
@@ -103,6 +109,7 @@ func (s *Stats) Snapshot() Snapshot {
 		Deletes:        s.Deletes.Load(),
 		WritesRejected: s.WritesRejected.Load(),
 		QueueDepth:     s.queueDepth.Load(),
+		InflightRounds: s.inflightRounds.Load(),
 
 		HybridRequests:  s.HybridRequests.Load(),
 		HybridCacheHits: s.HybridCacheHits.Load(),

@@ -15,7 +15,7 @@ import (
 const DefaultCollection = "default"
 
 // tenant is one served collection's vertical slice of the gateway:
-// its backend, its micro-batcher (one dispatcher goroutine per tenant,
+// its backend, its micro-batcher (each tenant has its own dispatchers,
 // so tenants never serialize behind each other), and its result cache.
 // Caches being per-tenant makes collection-scoped purge structural: a
 // mutation in one collection cannot evict another's entries.
@@ -88,6 +88,11 @@ func (b *CollectionBackend) WriteFailed() error { return b.Col.Store().Failed() 
 
 // Varz implements VarzProvider.
 func (b *CollectionBackend) Varz() map[string]any { return b.Col.Varz() }
+
+// MaxRounds implements RoundLimiter. Every round takes one slot of the
+// collection's MaxInflight quota, so search rounds alone never exceed
+// it (0 = no quota, no cap).
+func (b *CollectionBackend) MaxRounds() int { return b.Col.Config().MaxInflight }
 
 // newTenant wires one tenant's batcher and cache over its backend.
 func (s *Server) newTenant(name string, backend Backend, col *collection.Collection) *tenant {
